@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import NoStabilizationError
-from .fixed_points import ShiftedNewton, _relint_ideal, _sum_closure, face_ideal
+from .fixed_points import ShiftedNewton, _relint_ideal
 from .ideals import ideal_from_generators, unit_ideal, zero_ideal
 from .linalg import vadd, vscale, vsub
 from .polyhedral import (
@@ -74,7 +74,9 @@ def face_ideal_via_perturbation(sn, face, cap=PERTURBATION_CAP):
     With a in the relative interior of the face of the polytope and n'a
     integral, the points v with v - base - (n'/n)a in the polytope cut
     out the face ideal once n is large; stabilization across two
-    consecutive doublings is required before accepting.
+    consecutive doublings is required before accepting.  The stabilized
+    ideal is returned as found; comparing it with the face ideal is left
+    to the caller.
     """
     a = vsub(_relint_point(sn, face), sn.base)
     nprime = lcm(*(Fraction(c).denominator for c in a)) if any(a) else 1
@@ -89,12 +91,26 @@ def face_ideal_via_perturbation(sn, face, cap=PERTURBATION_CAP):
     while n * 4 <= cap:
         last = at(n * 4)
         if current == middle == last:
-            expected = face_ideal(sn, face)
-            if current != expected:
-                raise AssertionError("perturbation stabilized on a different ideal than the face ideal")
             return current
         n, current, middle = n * 2, middle, last
     raise NoStabilizationError(f"perturbation did not stabilize below n = {cap}")
+
+
+def _sum_closure(seeds):
+    """Close a list of ideals under pairwise sums: exactly the sums over
+    non-empty subsets, since ideal sum is idempotent."""
+    found = set(seeds)
+    frontier = list(found)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in found.copy():
+                s = a + b
+                if s not in found:
+                    found.add(s)
+                    fresh.append(s)
+        frontier = fresh
+    return found
 
 
 def intermediate_adjoint_set(amb, base, a_ideal=None, t=0):

@@ -2,10 +2,30 @@
 
 An ideal is fixed by the twisted operator (paired with a coefficient
 ideal power) exactly when it is a sum of face ideals of the shifted
-Newton region: for each face F of t*Newt(a) placed at the base point
-w/(1-p^e), the face ideal collects the semigroup points in the relative
-interiors of all faces containing F.  Finitely many sums arise, so the
-whole lattice of fixed ideals is computable.
+Newton region base + t*Newt(a), with base = w/(1-p^e): for each face F,
+the face ideal J_F collects the semigroup points in the relative
+interiors of all faces containing F.
+
+The lattice of these sums has a direct description.  Let Q be the set of
+faces whose relative interior holds a point of S = sigma ∩ Z^d.  The
+fixed ideals are exactly the sets  I_U = ∪_{G in U} (relint G ∩ S)  for
+the up-closed subsets U of Q, and distinct U give distinct ideals.  So
+the fixed ideals form the distributive lattice of up-sets of Q
+(Birkhoff's representation theorem), and their number is the number of
+antichains of Q.  The top face always lies in Q.
+
+Proof sketch.  The region has recession cone sigma, so for x in relint G
+and s in S the point x + s lies in the relative interior of some face
+G' ⊇ G, and G' is in Q because it holds that point; hence each union
+over an up-set is an ideal.  The face ideal J_F is the union over
+up(F) ∩ Q, and every up-set is the union of the principal up-sets of
+its members, so the sums of face ideals are exactly the unions over
+up-sets.  Relative interiors are disjoint, so distinct up-sets give
+distinct ideals.
+
+The enumeration therefore walks the up-sets of Q along a linear
+extension instead of closing face ideals under sums; faces and up-sets
+are handled as bitmasks over face indices.
 """
 
 from __future__ import annotations
@@ -92,21 +112,46 @@ def face_ideal(sn, face):
     return ideal_from_generators(sn.ambient, pts)
 
 
-def _sum_closure(seeds):
-    """Close a list of ideals under pairwise sums: exactly the sums over
-    non-empty subsets, since ideal sum is idempotent."""
-    found = set(seeds)
-    frontier = list(found)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in found.copy():
-                s = a + b
-                if s not in found:
-                    found.add(s)
-                    fresh.append(s)
-        frontier = fresh
-    return found
+@lru_cache(maxsize=None)
+def _face_poset(sn):
+    """The poset Q as a bitmask over face indices, and per face F its
+    up-mask up_Q(F): the members of Q containing F."""
+    count = len(sn.faces)
+    q = sum(1 << i for i in range(count) if not _relint_ideal(sn, i).is_zero)
+    up = [0] * count
+    for i, j in sn.faces.order:
+        up[i] |= 1 << j
+    return q, tuple(m & q for m in up)
+
+
+def _union_ideal(sn, mask):
+    """The ideal of the semigroup points in the relative interiors of the
+    faces in the mask."""
+    pts = []
+    for i in range(len(sn.faces)):
+        if mask >> i & 1:
+            pts.extend(_relint_ideal(sn, i).gens)
+    return ideal_from_generators(sn.ambient, pts)
+
+
+def _up_sets(sn):
+    """Every up-closed subset of Q as a bitmask.  Members of Q are decided
+    one at a time along a linear extension, larger faces first; a face may
+    join only once every larger member of Q has joined, so each up-set is
+    reached exactly once."""
+    q, up = _face_poset(sn)
+    order = sorted((i for i in range(len(up)) if q >> i & 1), key=lambda i: -sn.faces.faces[i].dim)
+
+    def walk(k, chosen):
+        if k == len(order):
+            yield chosen
+            return
+        i = order[k]
+        yield from walk(k + 1, chosen)
+        if not up[i] & ~chosen & ~(1 << i):
+            yield from walk(k + 1, chosen | 1 << i)
+
+    return walk(0, 0)
 
 
 def _roman(n):
@@ -119,34 +164,30 @@ def _roman(n):
     return "".join(out)
 
 
-def _reduced_faces(sn, ideal):
-    """A minimal set of faces whose face ideals sum to the ideal."""
-    members = [f for f in sn.faces.faces if ideal.contains_ideal(face_ideal(sn, f))]
-    total = zero_ideal(sn.ambient)
-    for f in members:
-        total = total + face_ideal(sn, f)
-    if total != ideal:
-        raise AssertionError("fixed ideal is not the sum of its contained face ideals")
-    chosen = list(members)
-    for f in list(members):
-        rest = [g for g in chosen if g is not f]
-        s = zero_ideal(sn.ambient)
-        for g in rest:
-            s = s + face_ideal(sn, g)
-        if s == ideal:
+def _reduced_faces(sn, up_set):
+    """A minimal set of faces whose face ideals sum to the ideal of the
+    up-set.  The candidates are the faces F with up_Q(F) ⊆ U; in face
+    order, each is dropped when the others still cover U."""
+    _, up = _face_poset(sn)
+    chosen = [i for i, m in enumerate(up) if not m & ~up_set]
+    for i in list(chosen):
+        rest = [j for j in chosen if j != i]
+        covered = 0
+        for j in rest:
+            covered |= up[j]
+        if covered == up_set:
             chosen = rest
-    return tuple(f.index for f in chosen)
+    return tuple(chosen)
 
 
 @lru_cache(maxsize=None)
 def enumerate_fixed(sn):
-    """Every fixed ideal: all sums of face ideals over non-empty face
-    subsets, deduplicated, plus the zero ideal, in canonical order."""
-    seeds = [face_ideal(sn, f) for f in sn.faces.faces]
-    ideals = sorted(_sum_closure(seeds), key=lambda i: i.gens)
+    """Every fixed ideal, one per up-set of Q, plus the zero ideal (the
+    empty up-set), in canonical order."""
+    found = sorted(((_union_ideal(sn, u), u) for u in _up_sets(sn) if u), key=lambda pair: pair[0].gens)
     records = [FixedIdealRecord(zero_ideal(sn.ambient), (), "0")]
-    for k, ideal in enumerate(ideals, start=1):
-        records.append(FixedIdealRecord(ideal, _reduced_faces(sn, ideal), _roman(k)))
+    for k, (ideal, up_set) in enumerate(found, start=1):
+        records.append(FixedIdealRecord(ideal, _reduced_faces(sn, up_set), _roman(k)))
     return tuple(records)
 
 
@@ -155,27 +196,19 @@ def fixed_ideals(sn):
 
 
 def smallest_nonzero_fixed(sn):
-    """The top-face ideal: the unique smallest nonzero fixed ideal (the
-    test-ideal analogue)."""
+    """The top-face ideal J_top, the ideal of the smallest nonempty up-set
+    {top}: the unique smallest nonzero fixed ideal (the test-ideal
+    analogue)."""
     smallest = face_ideal(sn, sn.faces.top)
     if smallest.is_zero:
         raise AllFixedIdealsZeroError("top face carries no semigroup points")
-    for record in enumerate_fixed(sn):
-        if not record.ideal.is_zero and not record.ideal.contains_ideal(smallest):
-            raise AssertionError("top-face ideal is not minimal among fixed ideals")
     return smallest
 
 
 def largest_fixed(sn):
-    """Sum of all face ideals: the largest fixed ideal (the non-LC
+    """The ideal of all of Q: the largest fixed ideal (the non-LC
     analogue, and the stable image of the operator for a pair)."""
-    total = zero_ideal(sn.ambient)
-    for f in sn.faces.faces:
-        total = total + face_ideal(sn, f)
-    for record in enumerate_fixed(sn):
-        if not total.contains_ideal(record.ideal):
-            raise AssertionError("face-ideal sum is not maximal among fixed ideals")
-    return total
+    return _union_ideal(sn, _face_poset(sn)[0])
 
 
 @dataclass(frozen=True)
@@ -196,19 +229,20 @@ class Decomposition:
 
 def decompose_fixed(sn, ideal):
     """Assign each generator its unique relative-interior face and check
-    that the reconstructed face-ideal sum gives the ideal back."""
+    that the ideal of the union of their up-masks gives the ideal back."""
     if ideal.is_zero:
         return Decomposition((), None, "zero ideal is fixed by convention")
+    _, up = _face_poset(sn)
     picked = []
+    up_set = 0
     for v in ideal.gens:
         face = sn.faces.relint_face_of(v)
         if face is None:
             return Decomposition(None, v, f"generator {v} lies outside the shifted region")
         if face.index not in picked:
             picked.append(face.index)
-    total = zero_ideal(sn.ambient)
-    for i in picked:
-        total = total + face_ideal(sn, i)
+        up_set |= up[face.index]
+    total = _union_ideal(sn, up_set)
     if total != ideal:
         missing = next(g for g in total.gens if not ideal.contains(g))
         return Decomposition(None, missing, f"relative-interior point {missing} is missing from the ideal")

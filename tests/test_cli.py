@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from toric_cartier import birational
 from toric_cartier.cli import main
 from toric_cartier.errors import InstanceError
 from toric_cartier.instance import build_triple, parse_instance, serialize_instance
@@ -143,6 +144,19 @@ class TestCommands:
         code, out = run(["cross-validate", "--instance", worked_file], capsys)
         assert code == 0
         assert json.loads(out)["report"]["passed"] is True
+
+    def test_cross_validate_reports_perturbation_mismatch(self, tmp_path, capsys, monkeypatch):
+        # pinning the relative-interior point to the base point perturbs
+        # every face towards the whole region, so the lower faces stabilize
+        # on the largest fixed ideal instead of their face ideals
+        monkeypatch.setattr(birational, "_relint_point", lambda sn, face: sn.base)
+        path = tmp_path / "orthant.instance"
+        path.write_text(WORKED.replace("(1,0) (1,3)", "(1,0) (0,1)").replace("(-1,-2)", "(0,0)"))
+        code, out = run(["cross-validate", "--instance", path], capsys)
+        assert code == 1
+        checks = {c["name"]: c["status"] for c in json.loads(out)["report"]["checks"]}
+        assert checks.pop("perturbation-per-face") == "fail"
+        assert "fail" not in checks.values()
 
     def test_invalid_input_exit_two(self, tmp_path, capsys):
         path = tmp_path / "bad.instance"
