@@ -11,7 +11,6 @@ exact rational arithmetic.
 """
 
 from .birational import (
-    BasePointData,
     face_ideal_via_perturbation,
     intermediate_adjoint_set,
     non_lc_ideal,

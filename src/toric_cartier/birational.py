@@ -9,7 +9,6 @@ resolution is ever computed, and no characteristic is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -25,20 +24,6 @@ from .polyhedral import (
 )
 
 PERTURBATION_CAP = 2**20
-
-
-@dataclass(frozen=True)
-class BasePointData:
-    """The rational anchor m/l with l*(K+Delta) = Div(x^m); coincides
-    with w/(1-p^e) whenever the data comes from an operator."""
-
-    base: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", as_rational_vector(self.base))
-
-    def matches_cartier(self, c):
-        return self.base == c.base_point
 
 
 def non_lc_ideal(amb, base, a_ideal, t, b_ideal=None, s=0):
@@ -68,7 +53,7 @@ def _relint_point(sn, face):
     return center
 
 
-def face_ideal_via_perturbation(sn, face, cap=PERTURBATION_CAP):
+def face_ideal_via_perturbation(sn, face):
     """Realize one face ideal as a perturbed non-LC ideal.
 
     With a in the relative interior of the face of the polytope and n'a
@@ -88,12 +73,12 @@ def face_ideal_via_perturbation(sn, face, cap=PERTURBATION_CAP):
 
     n = 1
     current, middle = at(1), at(2)
-    while n * 4 <= cap:
+    while n * 4 <= PERTURBATION_CAP:
         last = at(n * 4)
         if current == middle == last:
             return current
         n, current, middle = n * 2, middle, last
-    raise NoStabilizationError(f"perturbation did not stabilize below n = {cap}")
+    raise NoStabilizationError(f"perturbation did not stabilize below n = {PERTURBATION_CAP}")
 
 
 def _sum_closure(seeds):

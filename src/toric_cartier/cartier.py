@@ -34,6 +34,8 @@ from .polyhedral import (
     scale_polyhedron,
 )
 
+_MAX_ITER = 64
+
 
 def _is_prime(n):
     if n < 2:
@@ -118,12 +120,6 @@ def phi_on_ideal(c, ideal):
     for u in ideal.gens:
         pts.extend(_phi_gen_minimal(c, u))
     return ideal_from_generators(c.ambient, pts)
-
-
-def admissible_exponents(tr):
-    """The period of a triple: iterates pair with integral powers exactly
-    at the positive multiples of this value."""
-    return tr.period
 
 
 def admissible_period(t, p, e):
@@ -234,20 +230,20 @@ def cartier_operator(tr, ideal, limit):
     return total
 
 
-def stable_image(c, max_iter=64):
+def stable_image(c):
     """Fixed point of iterating the operator on the unit ideal: the
     largest fixed ideal.  The chain descends, and stabilization is
     witnessed by exact ideal equality."""
     current = unit_ideal(c.ambient)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         nxt = phi_on_ideal(c, current)
         if nxt == current:
             return current
         current = nxt
-    raise NoStabilizationError(f"image chain did not stabilize within {max_iter} iterations")
+    raise NoStabilizationError(f"image chain did not stabilize within {_MAX_ITER} iterations")
 
 
-def twisted_stable_image(c, d, n, max_iter=64):
+def twisted_stable_image(c, d, n):
     """Stable image of psi(x) = phi^n(x^d * x); for n past stabilization
     the result is fixed for the original operator."""
     d = as_lattice_point(d, c.ambient.dim)
@@ -255,7 +251,7 @@ def twisted_stable_image(c, d, n, max_iter=64):
         raise PointOutsideSemigroupError(f"twist monomial exponent {d} lies outside the semigroup")
     it = c.iterate(n)
     psi = CartierData(c.p, c.e * n, vsub(it.w, d), c.ambient)
-    return stable_image(psi, max_iter=max_iter)
+    return stable_image(psi)
 
 
 @dataclass(frozen=True)

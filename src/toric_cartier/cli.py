@@ -7,7 +7,10 @@
 Commands: enumerate, verify, non-lc, test-ideal, stable-image,
 cross-validate, plot.  Exit code 0 means success (or verified fixed),
 1 means a negative verdict (not fixed, or a cross-validation mismatch),
-2 means invalid input.
+2 means invalid input: among others a p that is not prime, an e below 1,
+divisor data with the wrong number of coefficients, or an --N below the
+instance's period (verify and cross-validate check no graded piece
+there).
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from .errors import AmbientMismatchError, PointOutsideSemigroupError, ZeroIdealE
 from .linalg import dot, vadd, vsub
 from .polyhedral import (
     Cone,
+    _minimal_elements,
     as_lattice_point,
     cone_from_rays,
     hilbert_basis,
@@ -53,18 +54,8 @@ class Semigroup:
     def contains(self, v):
         return self.cone.contains(v)
 
-    def minimal_points(self, region, face=None, margin=2):
-        return minimal_lattice_points(region, self.cone, face=face, margin=margin)
-
-
-def _minimalize(amb, pts):
-    """Prune every point that dominates another point of the set."""
-    ell = tuple(sum(col) for col in zip(*amb.cone.normals))
-    keep = []
-    for x in sorted(set(pts), key=lambda x: (dot(ell, x), x)):
-        if not any(amb.cone.contains(vsub(x, b)) for b in keep):
-            keep.append(x)
-    return tuple(sorted(keep))
+    def minimal_points(self, region, face=None):
+        return minimal_lattice_points(region, self.cone, face=face)
 
 
 @dataclass(frozen=True)
@@ -184,7 +175,7 @@ def ideal_from_generators(amb, pts):
             raise PointOutsideSemigroupError(f"exponent {p} lies outside the semigroup")
     if not pts:
         return zero_ideal(amb)
-    return MonomialIdeal(amb, _minimalize(amb, pts), False)
+    return MonomialIdeal(amb, tuple(_minimal_elements(set(pts), amb.cone)), False)
 
 
 def zero_ideal(amb):

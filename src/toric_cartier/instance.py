@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .cartier import CartierData, DivisorData, TripleData, divisor_to_w
+from .cartier import CartierData, DivisorData, TripleData, _is_prime, divisor_to_w
 from .errors import InstanceError
 from .ideals import Semigroup, ideal_from_generators
 
@@ -128,6 +128,10 @@ def parse_instance(text):
             raise InstanceError(f"line {line_of('divisor')}: empty divisor coefficient list")
     p = _parse_int(raw["p"], line_of("p"), "p")
     e = _parse_int(raw["e"], line_of("e"), "e")
+    if not _is_prime(p):
+        raise InstanceError(f"line {line_of('p')}: p = {p} is not prime")
+    if e < 1:
+        raise InstanceError(f"line {line_of('e')}: e = {e} is not a positive integer")
     a_generators = _parse_vectors(raw["a"], line_of("a"), "a") if "a" in raw else None
     t = _parse_rational(raw["t"], line_of("t"), "t") if "t" in raw else Fraction(0)
     if t < 0:
@@ -186,6 +190,10 @@ def build_triple(cfg):
         w = cfg.w
         resolved = cfg
     else:
+        if len(cfg.divisor) != len(amb.cone.normals):
+            raise InstanceError(
+                f"field 'divisor': expected {len(amb.cone.normals)} coefficients, one per facet, got {len(cfg.divisor)}"
+            )
         w = divisor_to_w(amb.cone, DivisorData(cfg.divisor), cfg.p, cfg.e)
         resolved = replace(cfg, w=w, divisor=None)
     cartier = CartierData(cfg.p, cfg.e, w, amb)

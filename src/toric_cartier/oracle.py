@@ -18,7 +18,7 @@ from math import ceil, floor
 
 from .birational import face_ideal_via_perturbation, intermediate_adjoint_set, non_lc_ideal
 from .cartier import cartier_step, phi_on_monomial, stable_image
-from .errors import PoolTooLargeError
+from .errors import InadmissibleExponentError, PoolTooLargeError
 from .fixed_points import ShiftedNewton, enumerate_fixed, face_ideal, fixed_ideals, largest_fixed, smallest_nonzero_fixed
 from .ideals import MonomialIdeal, format_ideal, zero_ideal
 from .linalg import vadd, vscale, vsub
@@ -49,7 +49,7 @@ class BoxSpec:
 
 @dataclass(frozen=True)
 class Verdict:
-    status: str  # "fixed" | "not_fixed" | "inconclusive"
+    status: str  # "fixed" | "not_fixed"
     witness: tuple | None
     detail: str
 
@@ -58,7 +58,7 @@ class Verdict:
         return self.status == "fixed"
 
 
-def verify_fixed(tr, ideal, limit=None, deep_probe=False):
+def verify_fixed(tr, ideal, limit=None):
     """Decide fixedness of an ideal against the operator data.
 
     Containment direction: each graded piece up to the truncation limit
@@ -67,11 +67,13 @@ def verify_fixed(tr, ideal, limit=None, deep_probe=False):
     (q^n - 1)v + (q^n - 1)/(q - 1) w inside the closed coefficient power,
     equivalently v - base must lie in the Newton region; the witness is
     re-checked by plain monomial arithmetic.  A verdict of fixed relies
-    on the truncation for the containment direction; ``deep_probe``
-    downgrades a clean pass to inconclusive to flag exactly that.
+    on the truncation for the containment direction, so a limit below
+    the period, which would check no graded piece, is rejected.
     """
     if limit is None:
         limit = 3 * tr.period
+    if limit < tr.period:
+        raise InadmissibleExponentError(f"limit {limit} is below the period {tr.period}")
     if ideal.is_zero:
         return Verdict("fixed", None, "zero ideal is fixed by convention")
     for n in tr.admissible_up_to(limit):
@@ -89,28 +91,22 @@ def verify_fixed(tr, ideal, limit=None, deep_probe=False):
         witness = vadd(vscale(qn - 1, v), vscale((qn - 1) // (c.q - 1), c.w))
         if phi_on_monomial(c.iterate(n0), vadd(witness, v)) != v:
             raise AssertionError("witness monomial failed to reproduce its generator")
-    if deep_probe:
-        return Verdict("inconclusive", None, f"containment verified through n = {limit} only; deeper probe requested")
     return Verdict("fixed", None, f"containment through n = {limit}, every generator reproduced at n = {n0}")
 
 
-def candidate_pool(tr, box, sn=None):
+def candidate_pool(tr, box, sn):
     """Lattice points of box ∩ S ∩ (base + Newton region): every minimal
     generator of every fixed ideal lives here when the box is adequate."""
-    if sn is None:
-        sn = ShiftedNewton.from_triple(tr)
     return tuple(
         x for x in box.points() if tr.ambient.contains(x) and sn.shifted.contains(x)
     )
 
 
-def brute_force_enumerate(tr, box=None, limit=None, pool_cap=POOL_CAP, margin=2):
+def brute_force_enumerate(tr, limit=None, pool_cap=POOL_CAP, margin=2):
     """All fixed ideals by exhaustion: every antichain of the candidate
     pool generates one candidate ideal, each one is verified directly."""
     sn = ShiftedNewton.from_triple(tr)
-    if box is None:
-        box = BoxSpec.from_instance(sn, margin=margin)
-    pool = candidate_pool(tr, box, sn=sn)
+    pool = candidate_pool(tr, BoxSpec.from_instance(sn, margin=margin), sn)
     if len(pool) > pool_cap:
         raise PoolTooLargeError(f"candidate pool has {len(pool)} points, cap is {pool_cap}")
     sigma = tr.ambient.cone

@@ -9,9 +9,12 @@ cone.  H-representations are stored as jointly primitive integer rows
 (a, b) meaning <a, x> >= b, sorted lexicographically, and V-representations
 list extreme vertices and primitive extreme rays only, so equality of
 cones and polyhedra is syntactic.  Converting between the two
-descriptions goes through homogenization to a cone in dimension d + 1,
-and one exact algorithm (kernel enumeration over facet subsets) serves
-both directions.
+descriptions goes through homogenization to a cone in dimension d + 1.
+One exact sweep over the kernels of (d-1)-subsets of the given
+description computes the other one, and a rank filter then makes the
+given description irredundant: a generator is an extreme ray, and an
+inequality a facet, exactly when it is tight on a rank d-1 subset of the
+computed description.
 """
 
 from __future__ import annotations
@@ -39,6 +42,12 @@ from .linalg import as_fractions, dot, primitive, vadd, vscale, vsub
 # for rational vectors.
 LatticePoint = tuple
 RationalVector = tuple
+
+# minimal_lattice_points: initial box padding in Hilbert-basis spans,
+# number of box expansions, and the largest box it scans
+_MARGIN = 2
+_MAX_EXPAND = 12
+_BOX_CAP = 2_000_000
 
 
 def as_lattice_point(v, dim=None):
@@ -79,6 +88,34 @@ def _extreme_rays(rows, dim):
     return sorted(seen)
 
 
+def _tight_members(gens, duals, dim):
+    """Members of gens tight on a rank dim-1 subset of duals.
+
+    With duals the facet normals of the cone gens generate, these are
+    its extreme rays; with gens the inequality rows of a cone and duals
+    its extreme rays, they are its facets.  Either way the result is a
+    subset of the input."""
+    return sorted({g for g in gens if linalg.rank([h for h in duals if dot(h, g) == 0]) == dim - 1})
+
+
+def _positive_functional(cone):
+    # strictly positive on cone minus the origin since the cone is pointed
+    return tuple(sum(col) for col in zip(*cone.normals))
+
+
+def _minimal_elements(points, cone):
+    """The sorted members of points with no other member below them in
+    the order of cone (y - x in cone), pruned greedily in increasing
+    order of a functional positive on cone; a repeated point is pruned
+    as lying below itself."""
+    ell = _positive_functional(cone)
+    mins = []
+    for x in sorted(points, key=lambda x: (dot(ell, x), x)):
+        if not any(cone.contains(vsub(x, b)) for b in mins):
+            mins.append(x)
+    return sorted(mins)
+
+
 @dataclass(frozen=True)
 class Cone:
     """Pointed full-dimensional rational cone with both descriptions.
@@ -94,9 +131,6 @@ class Cone:
 
     def contains(self, x):
         return all(dot(n, x) >= 0 for n in self.normals)
-
-    def interior_contains(self, x):
-        return all(dot(n, x) > 0 for n in self.normals)
 
     def as_polyhedron(self):
         origin = (Fraction(0),) * self.dim
@@ -130,10 +164,7 @@ def cone_from_rays(rays):
     if linalg.rank(normals) != dim:
         line = linalg.kernel_basis(normals, dim)[0]
         raise NotPointedError(f"cone contains the line through {primitive(line)}")
-    canonical = tuple(_extreme_rays(normals, dim))
-    if not set(canonical) <= set(prim):
-        raise AssertionError("double description round trip produced a ray outside the input")
-    return Cone(dim, canonical, normals)
+    return Cone(dim, tuple(_tight_members(prim, normals, dim)), normals)
 
 
 def dual_cone(c):
@@ -153,15 +184,9 @@ def hilbert_basis(cone):
     dim = cone.dim
     lower = [sum(min(r[k], 0) for r in cone.rays) for k in range(dim)]
     upper = [sum(max(r[k], 0) for r in cone.rays) for k in range(dim)]
-    ell = tuple(sum(col) for col in zip(*cone.normals))
     zero = (0,) * dim
     cands = [x for x in iter_box(lower, upper) if x != zero and cone.contains(x)]
-    cands.sort(key=lambda x: (dot(ell, x), x))
-    basis = []
-    for x in cands:
-        if not any(cone.contains(vsub(x, b)) for b in basis):
-            basis.append(x)
-    return tuple(sorted(basis))
+    return tuple(_minimal_elements(cands, cone))
 
 
 @dataclass(frozen=True)
@@ -176,21 +201,16 @@ class Polyhedron:
     def contains(self, x):
         return all(dot(a, x) >= b for a, b in self.hrep)
 
-    def interior_contains(self, x):
-        return all(dot(a, x) > b for a, b in self.hrep)
 
-
-def _hom_to_polyhedron(hom_normals, dim, expect_recession=None):
-    """Recover the canonical polyhedron from the facet normals of its
-    homogenization cone in dimension d + 1."""
-    ext = _extreme_rays(hom_normals, dim + 1)
+def _hom_to_polyhedron(hom_normals, ext, dim, recession=None):
+    """Assemble the canonical polyhedron from the facet normals and the
+    extreme rays of its homogenization cone in dimension d + 1; the
+    recession cone is read off the rays at infinity unless given."""
     verts = sorted(tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in ext if r[-1] > 0)
-    rec_rays = sorted(r[:-1] for r in ext if r[-1] == 0)
     if not verts:
         raise EmptyRegionError("H-representation has no feasible point")
-    recession = cone_from_rays(rec_rays)
-    if expect_recession is not None and recession != expect_recession:
-        raise AssertionError("recession cone changed under canonicalization")
+    if recession is None:
+        recession = cone_from_rays(sorted(r[:-1] for r in ext if r[-1] == 0))
     hrep = sorted((row[:-1], -row[-1]) for row in hom_normals if not linalg.is_zero(row[:-1]))
     return Polyhedron(dim, tuple(verts), recession, tuple(hrep))
 
@@ -206,23 +226,19 @@ def polyhedron_from_generators(points, recession):
         | {r + (0,) for r in recession.rays}
     )
     hom_normals = _extreme_rays(hom_rays, dim + 1)
-    return _hom_to_polyhedron(hom_normals, dim, expect_recession=recession)
+    ext = _tight_members(hom_rays, hom_normals, dim + 1)
+    return _hom_to_polyhedron(hom_normals, ext, dim, recession)
 
 
 def polyhedron_from_hrep(rows, dim):
     """Canonical polyhedron for inequality rows (a, b), a·x >= b.
 
-    Input rows may be redundant and rationally scaled; the result is
-    re-canonicalized through the generator description.
+    Input rows may be redundant and rationally scaled; the facets are the
+    rows left by the rank filter against the computed extreme rays.
     """
-    hom = [primitive(tuple(a) + (-Fraction(b),)) for a, b in rows]
-    hom.append((0,) * dim + (1,))
-    ext = _extreme_rays(sorted(set(hom)), dim + 1)
-    verts = [tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in ext if r[-1] > 0]
-    rec_rays = sorted(r[:-1] for r in ext if r[-1] == 0)
-    if not verts:
-        raise EmptyRegionError("H-representation has no feasible point")
-    return polyhedron_from_generators(verts, cone_from_rays(rec_rays))
+    hom = sorted({primitive(tuple(a) + (-Fraction(b),)) for a, b in rows} | {(0,) * dim + (1,)})
+    ext = _extreme_rays(hom, dim + 1)
+    return _hom_to_polyhedron(_tight_members(hom, ext, dim + 1), ext, dim)
 
 
 def newton_polyhedron(generators, sigma):
@@ -261,12 +277,6 @@ def minkowski_sum(p, q):
     return polyhedron_from_generators(pts, recession)
 
 
-def intersect_polyhedra(p, q):
-    if p.dim != q.dim:
-        raise DimensionMismatchError(f"dimension {p.dim} vs {q.dim}")
-    return polyhedron_from_hrep(p.hrep + q.hrep, p.dim)
-
-
 @dataclass(frozen=True)
 class Face:
     """A face of a polyhedron, recorded through its incidences.
@@ -283,10 +293,6 @@ class Face:
     ray_ids: frozenset
     affine_point: tuple
     affine_basis: tuple
-
-    @property
-    def is_vertex(self):
-        return self.dim == 0
 
 
 @dataclass(frozen=True)
@@ -311,9 +317,6 @@ class FaceLattice:
 
     def subfaces(self, face):
         return tuple(self.faces[i] for i, j in sorted(self.order) if j == face.index)
-
-    def contains_face(self, inner, outer):
-        return (inner.index, outer.index) in self.order
 
     def relint_face_of(self, x):
         """The unique face whose relative interior holds x, or None when
@@ -398,12 +401,7 @@ def supporting_functional(p, face):
     return a, sum(r[1] for r in rows)
 
 
-def _positive_functional(cone):
-    # strictly positive on cone minus the origin since the cone is pointed
-    return tuple(sum(col) for col in zip(*cone.normals))
-
-
-def minimal_lattice_points(region, amb, face=None, margin=2, max_expand=12, box_cap=2_000_000):
+def minimal_lattice_points(region, amb, face=None):
     """Minimal generators of the lattice points of a region inside the
     semigroup amb ∩ Z^d.
 
@@ -432,7 +430,7 @@ def minimal_lattice_points(region, amb, face=None, margin=2, max_expand=12, box_
         denom = lcm(*(Fraction(c).denominator for a in anchors for c in a))
     else:
         denom = 1
-    pad = [max(margin * max(abs(h[k]) for h in hb), 1) for k in range(dim)]
+    pad = [max(_MARGIN * max(abs(h[k]) for h in hb), 1) for k in range(dim)]
 
     def member(x):
         if not amb.contains(x):
@@ -443,7 +441,7 @@ def minimal_lattice_points(region, amb, face=None, margin=2, max_expand=12, box_
 
     bounded = face is not None and not dirs
     prev = None
-    for k in range(1, max_expand + 1):
+    for k in range(1, _MAX_EXPAND + 1):
         lower = [floor(min(a[i] for a in anchors)) - k * pad[i] for i in range(dim)]
         upper = [ceil(max(a[i] for a in anchors)) + k * pad[i] for i in range(dim)]
         extent = 4 * k * denom
@@ -453,15 +451,14 @@ def minimal_lattice_points(region, amb, face=None, margin=2, max_expand=12, box_
                     upper[i] += extent * r[i]
                 elif r[i] < 0:
                     lower[i] += extent * r[i]
-        if _box_volume(lower, upper) > box_cap:
-            raise UnboundedMinimalSetError(f"enumeration box exceeded {box_cap} points before stabilizing")
-        pts = sorted((x for x in iter_box(lower, upper) if member(x)), key=lambda x: (dot(ell, x), x))
-        candidates = _greedy_minimal(pts, amb)
-        if candidates:
+        if _box_volume(lower, upper) > _BOX_CAP:
+            raise UnboundedMinimalSetError(f"enumeration box exceeded {_BOX_CAP} points before stabilizing")
+        result = _minimal_elements((x for x in iter_box(lower, upper) if member(x)), amb)
+        if result:
             # widen so every possible dominator of a candidate minimal
             # point (an amb point below its level in the positive
             # functional) is itself enumerated: pruning becomes exact
-            level = max(dot(ell, x) for x in candidates)
+            level = max(dot(ell, x) for x in result)
             before = (tuple(lower), tuple(upper))
             for ray in amb.rays:
                 corner = vscale(Fraction(level, dot(ell, ray)), ray)
@@ -469,26 +466,15 @@ def minimal_lattice_points(region, amb, face=None, margin=2, max_expand=12, box_
                     lower[i] = min(lower[i], floor(corner[i]))
                     upper[i] = max(upper[i], ceil(corner[i]))
             if (tuple(lower), tuple(upper)) != before:
-                if _box_volume(lower, upper) > box_cap:
-                    raise UnboundedMinimalSetError(f"enumeration box exceeded {box_cap} points before stabilizing")
-                pts = sorted((x for x in iter_box(lower, upper) if member(x)), key=lambda x: (dot(ell, x), x))
-        result = sorted(_greedy_minimal(pts, amb))
+                if _box_volume(lower, upper) > _BOX_CAP:
+                    raise UnboundedMinimalSetError(f"enumeration box exceeded {_BOX_CAP} points before stabilizing")
+                result = _minimal_elements((x for x in iter_box(lower, upper) if member(x)), amb)
         if bounded:
             return result
         if prev is not None and result == prev:
             return result
         prev = result
-    raise UnboundedMinimalSetError(f"minimal set failed to stabilize after {max_expand} box expansions")
-
-
-def _greedy_minimal(pts_sorted, amb):
-    """Members of the list with no other member below them in the amb
-    order; the input must be sorted by a functional positive on amb."""
-    mins = []
-    for x in pts_sorted:
-        if not any(amb.contains(vsub(x, b)) for b in mins):
-            mins.append(x)
-    return mins
+    raise UnboundedMinimalSetError(f"minimal set failed to stabilize after {_MAX_EXPAND} box expansions")
 
 
 def _box_volume(lower, upper):

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from toric_cartier.birational import (
-    BasePointData,
     face_ideal_via_perturbation,
     intermediate_adjoint_set,
     non_lc_ideal,
@@ -20,13 +19,6 @@ def canon(ideals):
 @pytest.fixture
 def worked_pe2(worked_semigroup):
     return ShiftedNewton.from_cartier(CartierData(2, 1, (-1, -2), worked_semigroup))
-
-
-class TestBasePointData:
-    def test_matches_cartier(self, worked_semigroup):
-        c = CartierData(2, 1, (-1, -2), worked_semigroup)
-        assert BasePointData((1, 2)).matches_cartier(c)
-        assert not BasePointData((Fraction(1, 2), 1)).matches_cartier(c)
 
 
 class TestNonLcIdeal:

@@ -296,11 +296,9 @@ class TestDivisorDictionary:
 
 
 class TestSpecSurfaceExtras:
-    def test_admissible_exponents_alias(self, worked_semigroup):
-        from toric_cartier.cartier import admissible_exponents
-
+    def test_triple_period(self, worked_semigroup):
         tr = TripleData.create(CartierData(3, 1, (0, 0), worked_semigroup), t=Fraction(2, 5))
-        assert admissible_exponents(tr) == 4
+        assert tr.period == 4
 
     def test_strict_effectivity_flag(self, worked_semigroup):
         sigma = worked_semigroup.cone

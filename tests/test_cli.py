@@ -164,6 +164,29 @@ class TestCommands:
         code = main(["enumerate", "--instance", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [("p = 2", "p = 4"), ("p = 2", "p = 0"), ("e = 1", "e = 0"), ("w = (-1,-2)", "divisor = 1 1 1")],
+    )
+    def test_invalid_values_exit_two(self, tmp_path, capsys, old, new):
+        path = tmp_path / "bad.instance"
+        path.write_text(WORKED.replace(old, new))
+        code = main(["enumerate", "--instance", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "text, limit, period",
+        [(WORKED, "0", 1), (WORKED, "-3", 1), (TRIPLE.replace("t = 1/2", "t = 2/5"), "3", 4)],
+    )
+    def test_verify_below_period_exit_two(self, tmp_path, capsys, text, limit, period):
+        # no graded piece lies below the period, so a pass would be vacuous
+        path = tmp_path / "instance"
+        path.write_text(text)
+        code = main(["verify", "--instance", str(path), "--ideal", "(2,2)", "--N", limit])
+        assert code == 2
+        assert f"below the period {period}" in capsys.readouterr().err
+
     def test_line_cone_exit_two(self, tmp_path, capsys):
         path = tmp_path / "line.instance"
         path.write_text(WORKED.replace("rays = (1,0) (1,3)", "rays = (1,0) (-1,0)"))

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from toric_cartier.cartier import CartierData, TripleData, phi_on_monomial
-from toric_cartier.errors import PDividesDenominatorError, PoolTooLargeError
+from toric_cartier.errors import InadmissibleExponentError, PDividesDenominatorError, PoolTooLargeError
 from toric_cartier.fixed_points import ShiftedNewton, enumerate_fixed, fixed_ideals
 from toric_cartier.ideals import format_ideal, ideal_from_generators, zero_ideal
 from toric_cartier.oracle import (
@@ -62,10 +62,15 @@ class TestVerifyFixed:
             verdicts = {verify_fixed(tr, ideal, limit=n).status for n in (1, 2, 3, 6)}
             assert len(verdicts) == 1
 
-    def test_deep_probe_downgrades(self, worked_semigroup):
-        tr = make_triple(worked_semigroup, 2, 1, (-1, -2))
-        ideal = ideal_from_generators(worked_semigroup, [(1, 2)])
-        assert verify_fixed(tr, ideal, deep_probe=True).status == "inconclusive"
+    def test_limit_below_period_rejected(self, worked_semigroup):
+        tr = make_triple(worked_semigroup, 3, 1, (0, 0), [(2, 1), (1, 3)], Fraction(2, 5))
+        assert tr.period == 4
+        ideal = ideal_from_generators(worked_semigroup, [(1, 0)])
+        with pytest.raises(InadmissibleExponentError, match="limit 3 is below the period 4"):
+            verify_fixed(tr, ideal, limit=3)
+        with pytest.raises(InadmissibleExponentError):
+            verify_fixed(tr, zero_ideal(worked_semigroup), limit=3)
+        assert verify_fixed(tr, zero_ideal(worked_semigroup), limit=4).is_fixed
 
 
 class TestBruteForce:
